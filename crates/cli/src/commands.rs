@@ -493,16 +493,21 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         dir,
         exceptions_text.as_deref().map(str::as_bytes),
     )?;
-    let payload = prefix2org::freeze(&pipeline_inputs, &dataset, &merge_edges, canonical_digest);
-    let thawed = prefix2org::FrozenDataset::from_payload(payload.clone())
+    let payload = prefix2org::freeze_with_export_digest(
+        &pipeline_inputs,
+        &dataset,
+        &merge_edges,
+        p2o_util::Digest::of_bytes(jsonl.as_bytes()).0,
+        canonical_digest,
+    );
+    let thawed = prefix2org::FrozenDataset::from_payload(payload)
         .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
-    if thawed.to_jsonl() != jsonl {
+    if !thawed.reproduces_jsonl(&jsonl) {
         return Err(CliError::General(
             "frozen artifact does not thaw back to the canonical export".to_string(),
         ));
     }
-    drop(thawed);
-    let framed = atomic::frame(&payload);
+    let framed = atomic::frame(&thawed.into_payload());
     atomic::write_atomic(&vfs, &frozen_path, prefix2org::FROZEN_LABEL, &framed)
         .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
     stamp.record("frozen", &frozen_path_str, &framed);
@@ -685,10 +690,10 @@ pub fn explain(args: &Parsed) -> Result<(), CliError> {
                  traces already reflect the rules it was built with"
             );
         }
-        // Serve the stored traces out of the frozen artifact instead of
-        // replaying the pipeline. For prefixes that are themselves records
-        // the output is byte-identical to a live explain; for covered
-        // queries the stored trace of the covering record is printed with
+        // Render the traces from the frozen artifact's stored facts instead
+        // of replaying the pipeline. For prefixes that are themselves
+        // records the output is byte-identical to a live explain; for
+        // covered queries the trace of the covering record is printed with
         // a note naming it.
         let vfs = Vfs::from_env().map_err(CliError::General)?;
         let frozen_path = dir.join(prefix2org::FROZEN_FILE);

@@ -11,7 +11,9 @@
 //!    frame layer names the exact damage mode otherwise);
 //! 4. **Frozen datasets** — every `*.p2ob` must unframe cleanly AND pass
 //!    the full [`prefix2org::FrozenDataset`] payload audit (arena layout,
-//!    format_version gate, string/LPM table invariants, per-record bounds);
+//!    format_version gate, string/LPM table invariants, per-record bounds).
+//!    An intact artifact of an *older* format version is a note, not
+//!    damage: `serve` falls back to a full load until it is rebuilt;
 //! 5. **Format version** — `meta.tsv`'s `format_version` must be one this
 //!    binary supports;
 //! 6. **Exception files** — any `exceptions.jsonl` must parse rule-clean
@@ -98,6 +100,19 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
                     .findings
                     .push(format!("{}: frozen dataset frame damaged: {e}", rel(path))),
                 Ok(payload) => match prefix2org::FrozenDataset::validate_payload(&payload) {
+                    // An intact artifact from an older release is not
+                    // damage: `serve` falls back to a full load and the
+                    // next `build` replaces it.
+                    Err(e)
+                        if prefix2org::FrozenDataset::declared_format_version(&payload)
+                            .is_some_and(|v| v < prefix2org::FROZEN_FORMAT_VERSION) =>
+                    {
+                        report.notes.push(format!(
+                            "{}: frozen dataset not served: {e}; serve falls back to a \
+                             full load",
+                            rel(path)
+                        ))
+                    }
                     Err(e) => report
                         .findings
                         .push(format!("{}: frozen dataset invalid: {e}", rel(path))),
@@ -355,6 +370,21 @@ mod tests {
             all.contains("world.p2ob: frozen dataset invalid")
                 && all.contains("newer than this reader"),
             "{all}"
+        );
+
+        // An older format_version in an intact frame is an artifact from a
+        // previous release: named in a note, not counted as damage.
+        let mut older = payload.clone();
+        older[meta.start..meta.start + 4]
+            .copy_from_slice(&(prefix2org::FROZEN_FORMAT_VERSION - 1).to_le_bytes());
+        fs::write(&p2ob, atomic::frame(&older)).unwrap();
+        let report = audit(&vfs, &dir).unwrap();
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let notes = report.notes.join("\n");
+        assert!(
+            notes.contains("world.p2ob: frozen dataset not served")
+                && notes.contains("older than this reader"),
+            "{notes}"
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -148,8 +148,9 @@ USAGE:
       checksummed checkpoint stamp FILE.jsonl.ckpt is written last.
       Alongside the export, a frozen zero-copy artifact DIR/world.p2ob is
       written (flattened LPM tables, interned strings, fixed-width
-      records); `serve` boots from it in milliseconds and `explain
-      --frozen` reads its stored traces. The freeze is verified to thaw
+      records, and the facts each decision trace is rendered from);
+      `serve` boots from it in milliseconds and `explain --frozen`
+      renders its traces on demand. The freeze is verified to thaw
       back to the export byte-for-byte before it is written.
       Corrupt input records are skipped and quarantined by default (counts
       go to stderr and the report's data_quality section); exit code 2 is
@@ -239,9 +240,9 @@ USAGE:
       Replay the mapping decision for each prefix and print the rule
       chain behind it: routing-table lookup, radix LPM walk, WHOIS
       delegation matches, base name, RPKI certificate, origin-ASN
-      clusters, cluster merges, final cluster label. --frozen reads the
-      stored trace out of DIR/world.p2ob instead of replaying the
-      pipeline (byte-identical for record prefixes). --exceptions
+      clusters, cluster merges, final cluster label. --frozen renders the
+      trace from DIR/world.p2ob instead of replaying the pipeline
+      (byte-identical for record prefixes). --exceptions
       applies a local rule file first, so the trace shows operator
       overrides (local_exception) and filtered prefixes exactly as a
       build with the same rules would.

@@ -64,11 +64,21 @@ impl Server {
     }
 
     fn start_with(dir: &Path, extra: &[&str]) -> Server {
+        Self::spawn(dir, extra, Stdio::null())
+    }
+
+    /// Like [`Server::start`], with stderr written to `log`.
+    fn start_logging(dir: &Path, log: &Path) -> Server {
+        let file = std::fs::File::create(log).expect("creating stderr log");
+        Self::spawn(dir, &[], Stdio::from(file))
+    }
+
+    fn spawn(dir: &Path, extra: &[&str], stderr: Stdio) -> Server {
         let mut child = Command::new(bin())
             .args(["serve", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"])
             .args(extra)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(stderr)
             .spawn()
             .expect("spawning serve");
         let stdout = child.stdout.take().expect("serve stdout");
@@ -379,6 +389,96 @@ fn frozen_boot_serves_identically_and_stale_artifact_falls_back() {
         );
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An intact artifact written by a release with an older frozen format
+/// (format_version 2, whose meta section was 32 bytes) is not damage:
+/// `fsck` names it in a note and passes, and `serve` warns that it asks
+/// for a rebuild, falls back to the full load, and answers exactly what a
+/// `--no-frozen` boot answers.
+#[test]
+fn older_frozen_format_falls_back_to_a_full_load() {
+    use p2o_util::arena::{ArenaIndex, ArenaWriter};
+    use p2o_util::atomic;
+
+    let dir = temp_dir("frozen-v2");
+    let dir_s = dir.to_str().unwrap().to_string();
+    generate(&dir, "4245");
+    run_ok(&[
+        "build",
+        "--in",
+        &dir_s,
+        "--out",
+        dir.join("dataset.jsonl").to_str().unwrap(),
+    ]);
+    let p2ob = dir.join("world.p2ob");
+    let payload = atomic::unframe(&std::fs::read(&p2ob).expect("artifact")).expect("unframes");
+    let arena = ArenaIndex::parse(&payload).expect("arena parses");
+    let mut w = ArenaWriter::new();
+    for name in arena.names() {
+        let mut bytes = payload[arena.require(name).unwrap()].to_vec();
+        if name == "meta" {
+            bytes.truncate(32);
+            bytes[..4].copy_from_slice(&2u32.to_le_bytes());
+        }
+        w.section(name, bytes);
+    }
+    let framed = atomic::frame(&w.finish());
+    std::fs::write(&p2ob, &framed).expect("write v2 artifact");
+    // The release that wrote it recorded it in the manifest too.
+    let vfs = p2o_util::vfs::Vfs::real();
+    let mut manifest = p2o_util::manifest::Manifest::load(&vfs, &dir)
+        .expect("manifest loads")
+        .expect("generate writes a manifest");
+    manifest.record("world.p2ob", &framed);
+    manifest.save(&vfs, &dir).expect("manifest saves");
+
+    let out = run(&["fsck", &dir_s]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "an older format is not damage:\nstdout: {}\nstderr: {stderr}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains("world.p2ob") && stderr.contains("rebuild the artifact"),
+        "fsck must name the artifact:\n{stderr}"
+    );
+
+    let reference = {
+        let server = Server::start_with(&dir, &["--no-frozen"]);
+        let mut client = server.client();
+        let prefixes = served_prefixes(&mut client, 3);
+        prefixes
+            .iter()
+            .map(|p| {
+                let r = client
+                    .get(&format!("/prefix/{}", p.replace('/', "%2f")))
+                    .expect("lookup");
+                (p.clone(), r.status, r.text())
+            })
+            .collect::<Vec<_>>()
+    };
+    let log = dir.join("serve.stderr");
+    let server = Server::start_logging(&dir, &log);
+    let stderr = std::fs::read_to_string(&log).expect("stderr log");
+    assert!(
+        stderr.contains("format_version 2 is older than this reader")
+            && stderr.contains("falling back to a full load"),
+        "serve must log the fallback:\n{stderr}"
+    );
+    let mut client = server.client();
+    let health = Json::parse(&client.get("/health").expect("health").text()).expect("parses");
+    assert_eq!(health.get("frozen").and_then(Json::as_bool), Some(false));
+    assert!(!reference.is_empty());
+    for (p, status, body) in &reference {
+        let r = client
+            .get(&format!("/prefix/{}", p.replace('/', "%2f")))
+            .expect("lookup");
+        assert_eq!((r.status, &r.text()), (*status, body), "answer for {p}");
+    }
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -24,26 +24,135 @@ use crate::exceptions::{ExceptionAction, ExceptionSet};
 use crate::pipeline::{Pipeline, PipelineInputs};
 use crate::resolve::Resolver;
 
+/// Rule names and detail wording of every trace step — the single source
+/// for both the [`DecisionTrace`] builders (here and in
+/// [`crate::resolve`]) and the frozen artifact's on-demand renderer
+/// ([`crate::frozen`]), so the two cannot drift apart. Each writer appends
+/// one step's detail text to `out`.
+pub(crate) mod step {
+    use core::fmt::{Display, Write as _};
+
+    use p2o_net::Prefix;
+    use p2o_rpki::RovStatus;
+    use p2o_whois::alloc::AllocationType;
+
+    pub const BGP_ORIGINS: &str = "bgp.origins";
+    pub const RADIX_LPM: &str = "radix.lpm";
+    pub const DELEGATED_CUSTOMER: &str = "whois.delegated_customer";
+    pub const DIRECT_OWNER: &str = "whois.direct_owner";
+    pub const UNRESOLVED: &str = "whois.unresolved";
+    pub const BASE_NAME: &str = "cluster.base_name";
+    pub const CERTIFICATE: &str = "rpki.certificate";
+    pub const ROV: &str = "rpki.rov";
+    pub const ASN_CLUSTERS: &str = "as2org.clusters";
+    pub const MERGE: &str = "cluster.merge";
+    pub const FINAL: &str = "cluster.final";
+    pub const LOCAL_EXCEPTION: &str = "local_exception";
+
+    pub const UNRESOLVED_DETAIL: &str =
+        "no covering Direct Owner delegation — prefix stays unmapped";
+    pub const FILTERED_DETAIL: &str = "filtered as bogus by operator rule: no attribution";
+
+    /// `None` = not in the routing table.
+    pub fn origins(out: &mut String, origins: Option<impl IntoIterator<Item = u32>>) {
+        match origins {
+            Some(asns) => {
+                out.push_str("routed, announced by ");
+                for (i, asn) in asns.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    let _ = write!(out, "AS{asn}");
+                }
+            }
+            None => out.push_str("not in the routing table (hypothetical mapping)"),
+        }
+    }
+
+    pub fn covering_chain(out: &mut String, blocks: usize, nodes: usize) {
+        let _ = write!(
+            out,
+            "covering chain has {blocks} registered block(s) ({nodes} radix nodes walked)"
+        );
+    }
+
+    pub fn delegated_customer(out: &mut String, org: &str, alloc: AllocationType, block: &Prefix) {
+        let _ = write!(out, "{org} via {alloc} on {block}");
+    }
+
+    pub fn direct_owner(
+        out: &mut String,
+        org: &str,
+        alloc: AllocationType,
+        block: &Prefix,
+        registry: impl Display,
+    ) {
+        let _ = write!(out, "{org} via {alloc} on {block} [{registry}]");
+    }
+
+    pub fn base_name(out: &mut String, owner: &str, base: &str) {
+        let _ = write!(out, "\"{owner}\" reduces to base name \"{base}\"");
+    }
+
+    pub fn certificate(out: &mut String, cert: Option<&str>) {
+        match cert {
+            Some(cert) => {
+                out.push_str("covered by ");
+                out.push_str(cert);
+            }
+            None => out.push_str("no covering validated Resource Certificate"),
+        }
+    }
+
+    pub fn rov(out: &mut String, rov: RovStatus) {
+        out.push_str("route origin validation: ");
+        out.push_str(rov.as_str());
+    }
+
+    pub fn asn_clusters(out: &mut String, clusters: impl IntoIterator<Item = u32>) {
+        let mut any = false;
+        for c in clusters {
+            out.push_str(if any { ", " } else { "origin ASN cluster(s) " });
+            any = true;
+            let _ = write!(out, "{c}");
+        }
+        if !any {
+            out.push_str("origin ASNs map to no sibling cluster");
+        }
+    }
+
+    /// One merge edge touching `owner`: names the other side.
+    pub fn merge(out: &mut String, owner: &str, a: &str, b: &str, evidence: &str) {
+        let other = if a == owner { b } else { a };
+        let _ = write!(out, "merged with \"{other}\": {evidence}");
+    }
+
+    pub fn final_cluster(out: &mut String, label: &str, names: usize) {
+        let _ = write!(out, "final cluster \"{label}\" ({names} WHOIS name(s))");
+    }
+
+    pub fn asserted(out: &mut String, org: &str) {
+        let _ = write!(out, "operator rule overrides attribution to \"{org}\"");
+    }
+}
+
+/// Appends one step whose detail a [`step`] writer produces.
+pub(crate) fn push_step(trace: &mut DecisionTrace, rule: &str, detail: impl FnOnce(&mut String)) {
+    let mut text = String::new();
+    detail(&mut text);
+    trace.push(rule, text);
+}
+
 /// The shared trace prelude: routing-table consultation plus the traced
 /// resolution walk. Returns the trace and whether resolution found a
 /// covering Direct Owner (when it did not, the chain already ends at the
 /// `whois.unresolved` step and no cluster steps apply).
 fn trace_prelude(inputs: &PipelineInputs<'_>, prefix: &Prefix) -> (DecisionTrace, bool) {
     let mut trace = DecisionTrace::new(prefix.to_string());
-    match inputs.routes.origins(prefix) {
-        Some(origins) => {
-            let list = origins
-                .iter()
-                .map(|a| format!("AS{a}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            trace.push("bgp.origins", format!("routed, announced by {list}"));
-        }
-        None => trace.push(
-            "bgp.origins",
-            "not in the routing table (hypothetical mapping)",
-        ),
-    }
+    let origins = inputs.routes.origins(prefix);
+    push_step(&mut trace, step::BGP_ORIGINS, |d| {
+        step::origins(d, origins.map(|set| set.iter().copied()))
+    });
     let resolved = Resolver
         .resolve_traced(inputs.delegations, prefix, &mut trace)
         .is_some();
@@ -62,65 +171,34 @@ fn push_cluster_steps(
     let Some(record) = dataset.record(prefix) else {
         return;
     };
-    trace.push(
-        "cluster.base_name",
-        format!(
-            "\"{}\" reduces to base name \"{}\"",
-            record.direct_owner, record.base_name
-        ),
-    );
-    match &record.rpki_certificate {
-        Some(cert) => trace.push("rpki.certificate", format!("covered by {cert}")),
-        None => trace.push(
-            "rpki.certificate",
-            "no covering validated Resource Certificate",
-        ),
-    }
-    trace.push(
-        "rpki.rov",
-        format!("route origin validation: {}", record.rov.as_str()),
-    );
-    if record.origin_asn_clusters.is_empty() {
-        trace.push("as2org.clusters", "origin ASNs map to no sibling cluster");
-    } else {
-        let list = record
-            .origin_asn_clusters
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        trace.push("as2org.clusters", format!("origin ASN cluster(s) {list}"));
-    }
-    for edge in merge_edges
-        .iter()
-        .filter(|e| e.a == record.direct_owner || e.b == record.direct_owner)
-    {
-        let other = if edge.a == record.direct_owner {
-            &edge.b
-        } else {
-            &edge.a
-        };
-        trace.push(
-            "cluster.merge",
-            format!("merged with \"{other}\": {}", edge.evidence),
-        );
+    let owner = record.direct_owner.as_str();
+    push_step(trace, step::BASE_NAME, |d| {
+        step::base_name(d, owner, &record.base_name)
+    });
+    push_step(trace, step::CERTIFICATE, |d| {
+        step::certificate(d, record.rpki_certificate.as_deref())
+    });
+    push_step(trace, step::ROV, |d| step::rov(d, record.rov));
+    push_step(trace, step::ASN_CLUSTERS, |d| {
+        step::asn_clusters(d, record.origin_asn_clusters.iter().copied())
+    });
+    for edge in merge_edges.iter().filter(|e| e.a == owner || e.b == owner) {
+        push_step(trace, step::MERGE, |d| {
+            step::merge(d, owner, &edge.a, &edge.b, &edge.evidence)
+        });
     }
     // The inferred label by cluster id: under an operator override the
     // record's own label carries the asserted org, while this step keeps
     // showing what the pipeline concluded.
-    trace.push(
-        "cluster.final",
-        format!(
-            "final cluster \"{}\" ({} WHOIS name(s))",
+    push_step(trace, step::FINAL, |d| {
+        step::final_cluster(
+            d,
             dataset.cluster_label(record.cluster),
-            dataset.cluster_names(record.cluster).len()
-        ),
-    );
+            dataset.cluster_names(record.cluster).len(),
+        )
+    });
     if let Some(org) = &record.local_exception {
-        trace.push(
-            "local_exception",
-            format!("operator rule overrides attribution to \"{org}\""),
-        );
+        push_step(trace, step::LOCAL_EXCEPTION, |d| step::asserted(d, org));
     }
 }
 
@@ -161,10 +239,7 @@ pub fn attribution_trace_with(
     }
     if let Some(set) = exceptions {
         if matches!(set.rule(prefix), Some(ExceptionAction::Filter)) {
-            trace.push(
-                "local_exception",
-                "filtered as bogus by operator rule: no attribution",
-            );
+            trace.push(step::LOCAL_EXCEPTION, step::FILTERED_DETAIL);
             return trace;
         }
     }

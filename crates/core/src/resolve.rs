@@ -5,6 +5,8 @@ use p2o_util::Symbol;
 use p2o_whois::alloc::{AllocationType, OwnershipLevel};
 use p2o_whois::{DelegationEntry, DelegationTree, Registry};
 
+use crate::explain::{push_step, step};
+
 /// One step in a prefix's delegation chain below the Direct Owner.
 ///
 /// Organization names are [`Symbol`]s into the delegation tree's interner
@@ -106,14 +108,9 @@ impl Resolver {
     ) -> Option<OwnershipRecord> {
         let (chain, visited) = tree.covering_chain_with_depth(prefix);
         if let Some(t) = trace.as_deref_mut() {
-            t.push(
-                "radix.lpm",
-                format!(
-                    "covering chain has {} registered block(s) ({} radix nodes walked)",
-                    chain.len(),
-                    visited
-                ),
-            );
+            push_step(t, step::RADIX_LPM, |d| {
+                step::covering_chain(d, chain.len(), visited)
+            });
         }
         // Collected most-specific-first, then reversed into hierarchical
         // order at the end.
@@ -127,15 +124,14 @@ impl Resolver {
                 match entry.ownership_level() {
                     OwnershipLevel::DelegatedCustomer => {
                         if let Some(t) = trace.as_deref_mut() {
-                            t.push(
-                                "whois.delegated_customer",
-                                format!(
-                                    "{} via {} on {}",
+                            push_step(t, step::DELEGATED_CUSTOMER, |d| {
+                                step::delegated_customer(
+                                    d,
                                     tree.name(entry.org_name),
                                     entry.alloc,
-                                    block
-                                ),
-                            );
+                                    &block,
+                                )
+                            });
                         }
                         customers_rev.push(DelegationStep {
                             org_name: entry.org_name,
@@ -145,16 +141,15 @@ impl Resolver {
                     }
                     OwnershipLevel::DirectOwner => {
                         if let Some(t) = trace.as_deref_mut() {
-                            t.push(
-                                "whois.direct_owner",
-                                format!(
-                                    "{} via {} on {} [{}]",
+                            push_step(t, step::DIRECT_OWNER, |d| {
+                                step::direct_owner(
+                                    d,
                                     tree.name(entry.org_name),
                                     entry.alloc,
-                                    block,
-                                    entry.registry
-                                ),
-                            );
+                                    &block,
+                                    entry.registry,
+                                )
+                            });
                         }
                         customers_rev.reverse();
                         return Some(OwnershipRecord {
@@ -170,10 +165,7 @@ impl Resolver {
             }
         }
         if let Some(t) = trace {
-            t.push(
-                "whois.unresolved",
-                "no covering Direct Owner delegation — prefix stays unmapped",
-            );
+            t.push(step::UNRESOLVED, step::UNRESOLVED_DETAIL);
         }
         None
     }

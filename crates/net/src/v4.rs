@@ -216,7 +216,16 @@ impl Prefix4 {
 
 impl fmt::Display for Prefix4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", fmt_addr(self.bits), self.len)
+        let b = self.bits;
+        write!(
+            f,
+            "{}.{}.{}.{}/{}",
+            b >> 24,
+            (b >> 16) & 0xFF,
+            (b >> 8) & 0xFF,
+            b & 0xFF,
+            self.len
+        )
     }
 }
 

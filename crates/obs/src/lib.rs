@@ -42,7 +42,7 @@ pub mod provenance;
 pub mod runtime;
 pub mod trace;
 
-pub use provenance::{DecisionStep, DecisionTrace};
+pub use provenance::{rule_width, DecisionStep, DecisionTrace, StepWriter};
 pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };

@@ -61,23 +61,98 @@ impl DecisionTrace {
     ///   2. radix.lpm        covering chain has 2 blocks (7 nodes walked)
     /// ```
     pub fn render(&self) -> String {
+        let width = rule_width(self.steps.iter().map(|s| s.rule.as_str()));
         let mut out = String::new();
-        out.push_str(&self.subject);
-        out.push('\n');
-        let width = self.steps.iter().map(|s| s.rule.len()).max().unwrap_or(0);
-        let digits = self.steps.len().to_string().len();
-        for (i, step) in self.steps.iter().enumerate() {
-            out.push_str(&format!(
-                "  {:>digits$}. {:width$}  {}\n",
-                i + 1,
-                step.rule,
-                step.detail,
-            ));
-        }
-        if self.steps.is_empty() {
-            out.push_str("  (no rules applied)\n");
+        let mut lines = StepWriter::new(&mut out, &self.subject, self.steps.len(), width);
+        for step in &self.steps {
+            lines.step(&step.rule, |out| out.push_str(&step.detail));
         }
         out
+    }
+}
+
+/// The rule column width for a chain using `rules`: the longest rule name,
+/// in bytes (the same measure [`DecisionTrace::render`] always used).
+pub fn rule_width<'a>(rules: impl IntoIterator<Item = &'a str>) -> usize {
+    rules.into_iter().map(str::len).max().unwrap_or(0)
+}
+
+/// The one writer of the numbered, aligned trace layout.
+///
+/// [`DecisionTrace::render`] drives it from stored steps; renderers that
+/// hold the trace's *inputs* instead (the frozen artifact) drive it
+/// directly, writing each detail straight into the output. The step count
+/// and rule width are fixed up front, so no line is ever re-padded.
+pub struct StepWriter<'a> {
+    out: &'a mut String,
+    width: usize,
+    digits: usize,
+    steps: usize,
+    written: usize,
+}
+
+impl<'a> StepWriter<'a> {
+    /// Writes the subject line and prepares for `steps` numbered lines with
+    /// the rule column padded to `width`. A chain of zero steps renders the
+    /// `(no rules applied)` placeholder.
+    pub fn new(
+        out: &'a mut String,
+        subject: impl core::fmt::Display,
+        steps: usize,
+        width: usize,
+    ) -> StepWriter<'a> {
+        use core::fmt::Write as _;
+        let _ = writeln!(out, "{subject}");
+        if steps == 0 {
+            out.push_str("  (no rules applied)\n");
+        }
+        StepWriter {
+            out,
+            width,
+            digits: decimal_digits(steps),
+            steps,
+            written: 0,
+        }
+    }
+
+    /// Writes the next numbered line: the rule, padded to the column
+    /// width, then whatever `detail` appends, then the newline.
+    pub fn step(&mut self, rule: &str, detail: impl FnOnce(&mut String)) {
+        use core::fmt::Write as _;
+        self.written += 1;
+        debug_assert!(self.written <= self.steps, "more steps than declared");
+        let n = self.written;
+        pad(
+            self.out,
+            (2 + self.digits).saturating_sub(decimal_digits(n)),
+        );
+        let _ = write!(self.out, "{n}. ");
+        self.out.push_str(rule);
+        pad(
+            self.out,
+            self.width.saturating_sub(rule.chars().count()) + 2,
+        );
+        detail(self.out);
+        self.out.push('\n');
+    }
+}
+
+fn decimal_digits(mut n: usize) -> usize {
+    let mut digits = 1;
+    while n >= 10 {
+        n /= 10;
+        digits += 1;
+    }
+    digits
+}
+
+fn pad(out: &mut String, spaces: usize) {
+    const SPACES: &str = "                                ";
+    let mut left = spaces;
+    while left > 0 {
+        let take = left.min(SPACES.len());
+        out.push_str(&SPACES[..take]);
+        left -= take;
     }
 }
 
@@ -107,6 +182,37 @@ mod tests {
     fn empty_trace_renders_placeholder() {
         let trace = DecisionTrace::new("198.51.100.0/24");
         assert_eq!(trace.render(), "198.51.100.0/24\n  (no rules applied)\n");
+    }
+
+    /// The writer reproduces the `format!`-padded layout it replaced,
+    /// including two-digit numbering and rules longer than the width.
+    #[test]
+    fn writer_matches_format_padding() {
+        let reference = |trace: &DecisionTrace| {
+            let width = trace.steps.iter().map(|s| s.rule.len()).max().unwrap_or(0);
+            let digits = trace.steps.len().to_string().len();
+            let mut out = format!("{}\n", trace.subject);
+            for (i, step) in trace.steps.iter().enumerate() {
+                out.push_str(&format!(
+                    "  {:>digits$}. {:width$}  {}\n",
+                    i + 1,
+                    step.rule,
+                    step.detail,
+                ));
+            }
+            out
+        };
+        for n in [1usize, 9, 10, 11, 100] {
+            let mut trace = DecisionTrace::new(format!("subject {n}"));
+            for i in 0..n {
+                trace.push("r".repeat(i % 13 + 1), format!("detail {i}"));
+            }
+            assert_eq!(trace.render(), reference(&trace), "{n} steps");
+        }
+        let mut out = String::new();
+        let mut w = StepWriter::new(&mut out, "s", 1, 2);
+        w.step("longer-than-width", |o| o.push('d'));
+        assert_eq!(out, "s\n  1. longer-than-width  d\n");
     }
 
     #[test]

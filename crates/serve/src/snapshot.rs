@@ -7,7 +7,9 @@
 //! so answering a query never touches the filesystem and never recomputes
 //! pipeline stages. Provenance comes from [`prefix2org::attribution_trace`]
 //! over the precomputed dataset, which is byte-identical to what
-//! `prefix2org explain` prints for the same prefix on the same inputs.
+//! `prefix2org explain` prints for the same prefix on the same inputs; a
+//! frozen snapshot renders the same trace from the facts stored in the
+//! artifact ([`FrozenDataset::provenance`]).
 //!
 //! [`SnapshotCell`] is the reload point. The workspace has no `arc-swap`
 //! crate, so the lock-free read path is built from two primitives: a
@@ -87,6 +89,10 @@ pub struct Snapshot {
     /// Content digest of the JSONL export — the identity readers see.
     /// Identical for live and frozen backings of the same build.
     pub digest: String,
+    /// ROV tallies and exception count, counted once at assembly so the
+    /// health and status probes stay O(1).
+    rov_tallies: [u64; 3],
+    exception_count: u64,
     backing: Backing,
 }
 
@@ -152,6 +158,8 @@ impl Snapshot {
             dir,
             serial,
             digest,
+            rov_tallies: dataset.rov_tallies(),
+            exception_count: dataset.exception_count(),
             backing: Backing::Live(Box::new(LiveBacking {
                 jsonl,
                 records,
@@ -176,6 +184,8 @@ impl Snapshot {
             dir,
             serial,
             digest,
+            rov_tallies: frozen.rov_tallies(),
+            exception_count: frozen.exception_count(),
             backing: Backing::Frozen(Box::new(FrozenBacking {
                 frozen,
                 jsonl: OnceLock::new(),
@@ -227,18 +237,12 @@ impl Snapshot {
     /// ROV state tallies of the served dataset: `[valid, invalid,
     /// not_found]`, indexed by [`p2o_rpki::RovStatus::as_u8`].
     pub fn rov_tallies(&self) -> [u64; 3] {
-        match &self.backing {
-            Backing::Live(live) => live.dataset.rov_tallies(),
-            Backing::Frozen(f) => f.frozen.rov_tallies(),
-        }
+        self.rov_tallies
     }
 
     /// How many served records carry a local operator override.
     pub fn exception_count(&self) -> u64 {
-        match &self.backing {
-            Backing::Live(live) => live.dataset.exception_count(),
-            Backing::Frozen(f) => f.frozen.exception_count(),
-        }
+        self.exception_count
     }
 
     /// Answers one lookup: longest-match `query` against the dataset and
@@ -250,10 +254,10 @@ impl Snapshot {
     ///
     /// The `provenance` string is the rendered decision trace. A live
     /// backing renders it for the query itself — byte-for-byte what
-    /// `prefix2org explain` prints. A frozen backing returns the matched
-    /// *record's* stored trace (identical whenever the query is a record
-    /// prefix; for a strictly more-specific query the trace documents the
-    /// covering record it was attributed to).
+    /// `prefix2org explain` prints. A frozen backing renders the matched
+    /// *record's* trace on demand from the facts frozen with it (identical
+    /// whenever the query is a record prefix; for a strictly more-specific
+    /// query the trace documents the covering record it was attributed to).
     pub fn lookup(&self, query: &Prefix) -> Option<Json> {
         let (matched, record_json, origins, provenance, rov, overridden) = match &self.backing {
             Backing::Live(live) => {
@@ -292,7 +296,7 @@ impl Snapshot {
                     matched,
                     f.frozen.listing1_json(idx),
                     f.frozen.origins(idx),
-                    f.frozen.provenance(idx).to_string(),
+                    f.frozen.provenance(idx),
                     f.frozen.rov(idx),
                     f.frozen.has_local_exception(idx),
                 )

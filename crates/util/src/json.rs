@@ -264,23 +264,48 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Escape class per byte: 0 = copied as is, `u` = `\u00XX`, anything else
+/// is the letter after the backslash. Only `"`, `\` and control characters
+/// below 0x20 are escaped.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
     }
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[0x08] = b'b';
+    table[0x0C] = b'f';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied whole. Every byte of a multi-byte UTF-8 sequence is ≥ 0x80
+/// and never escaped, so runs always split on character boundaries.
+fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let class = ESCAPE[b as usize];
+        if class == 0 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        if class == b'u' {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push('\\');
+            out.push(class as char);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -583,6 +608,61 @@ mod tests {
         );
         assert!(v.get("z").is_some_and(Json::is_null));
         assert!(v.get("missing").is_none());
+    }
+
+    /// The char-at-a-time escaper `write_escaped` replaced, kept as the
+    /// reference it must match byte for byte.
+    fn escape_charwise(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn escaping_matches_the_charwise_reference_on_random_strings() {
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend([
+            '"', '\\', '/', 'a', 'Z', ' ', '\u{7F}', 'é', '直', '😀', '\u{2028}',
+        ]);
+        // xorshift64*: deterministic, dependency-free.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for case in 0..5000 {
+            let len = (next() % 48) as usize;
+            let text: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect();
+            let (mut fast, mut reference) = (String::new(), String::new());
+            write_escaped(&mut fast, &text);
+            escape_charwise(&mut reference, &text);
+            assert_eq!(fast, reference, "case {case}: {text:?}");
+            assert_eq!(Json::parse(&fast).unwrap().as_str(), Some(text.as_str()));
+        }
+        for c in &alphabet {
+            let (mut fast, mut reference) = (String::new(), String::new());
+            write_escaped(&mut fast, &c.to_string());
+            escape_charwise(&mut reference, &c.to_string());
+            assert_eq!(fast, reference, "{c:?}");
+        }
     }
 
     #[test]
