@@ -439,15 +439,9 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         rpki: &inputs.rpki,
     };
     // The frozen artifact needs the merge evidence next to the dataset;
-    // `dataset_with_evidence` is the same deterministic run plus edge
-    // capture. Observed builds keep `run_with_obs` (the golden counters
-    // depend on it) and pay one extra evidence pass.
+    // an observed build captures it in its one instrumented run.
     let (mut dataset, merge_edges) = match &obs {
-        Some(o) => {
-            let ds = pipeline.run_with_obs(&pipeline_inputs, o);
-            let (_, edges) = pipeline.dataset_with_evidence(&pipeline_inputs, None);
-            (ds, edges)
-        }
+        Some(o) => pipeline.run_with_obs(&pipeline_inputs, o),
         None => pipeline.dataset_with_evidence(&pipeline_inputs, None),
     };
     // Operator exceptions apply after resolution and clustering, so an

@@ -13,11 +13,12 @@
 //! over 𝒲 ids), yielding the final clusters.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use p2o_as2org::AsnClusters;
 use p2o_bgp::RouteTable;
 use p2o_rpki::{CertId, ValidatedRepo};
-use p2o_strings::clean::basic_clean;
+use p2o_strings::clean::{basic_clean, corporate_form};
 use p2o_strings::BaseNameExtractor;
 use p2o_util::{Interner, Symbol, UnionFind};
 
@@ -186,8 +187,8 @@ impl GroupShard {
 pub struct Clusterer {
     /// Options for this run.
     pub options: ClusterOptions,
-    /// Worker threads for the 𝓡/𝓐 group-build pass; `0` and `1` both mean
-    /// sequential. The output is byte-identical at any thread count.
+    /// Worker threads for the base-name and 𝓡/𝓐 group-build passes; `0`
+    /// and `1` both mean sequential. The output is byte-identical at any thread count.
     pub threads: usize,
     /// Record [`ClusteringOutput::merge_edges`]; off by default (the edge
     /// list allocates per union and is only needed by `p2o explain`).
@@ -212,8 +213,9 @@ impl Clusterer {
         self
     }
 
-    /// Attaches an observability registry: group-build shards record
-    /// `cluster.group_build` spans when tracing is enabled on `obs`.
+    /// Attaches an observability registry: base-name and group-build
+    /// shards record `cluster.base_names` and `cluster.group_build` spans
+    /// when tracing is enabled on `obs`.
     pub fn with_obs(mut self, obs: &p2o_obs::Obs) -> Self {
         self.obs = Some(obs.clone());
         self
@@ -223,6 +225,49 @@ impl Clusterer {
     pub fn with_merge_evidence(mut self) -> Self {
         self.record_merge_evidence = true;
         self
+    }
+
+    /// Runs `work` over contiguous index ranges covering `0..len` — one
+    /// range per worker thread when there are enough items, else one range
+    /// on the calling thread — and returns the results in range order, so
+    /// merging them in order reproduces the sequential pass exactly. Each
+    /// range runs under a `span` trace span (args `shard` and `count_arg`)
+    /// when tracing is enabled.
+    fn sharded<R, F>(&self, len: usize, span: &'static str, count_arg: &str, work: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(Range<usize>) -> R + Sync,
+    {
+        let threads = self.threads.max(1);
+        let chunk = if threads > 1 && len >= 2 * threads {
+            len.div_ceil(threads)
+        } else {
+            len
+        };
+        let run = |idx: usize, range: Range<usize>| {
+            let log = self.obs.as_ref().and_then(|o| o.thread_log(span));
+            let _span = log.as_ref().map(|l| {
+                let s = l.span(span);
+                s.arg("shard", idx);
+                s.arg(count_arg, range.len());
+                s
+            });
+            work(range)
+        };
+        if chunk >= len {
+            return vec![run(0, 0..len)];
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..len)
+                .step_by(chunk)
+                .enumerate()
+                .map(|(idx, lo)| {
+                    let run = &run;
+                    scope.spawn(move || run(idx, lo..(lo + chunk).min(len)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     /// Runs §5.3 over resolved ownership records. `names` is the interner
@@ -236,97 +281,88 @@ impl Clusterer {
         rpki: &ValidatedRepo,
         names: &Interner,
     ) -> ClusteringOutput {
-        // --- Base names (§5.3.1): corpus = all Direct Owner names. ---
-        let extractor = BaseNameExtractor::build(
-            records.iter().map(|r| names.resolve(r.direct_owner)),
+        // --- Distinct Direct Owners, in first-appearance order. ---
+        // The first record carrying a given owner is also the first record
+        // that could mint its 𝒲 cluster, so walking owners in this order
+        // numbers 𝒲 clusters exactly as a walk over the records would.
+        let mut slot_of_owner: HashMap<Symbol, u32> = HashMap::new();
+        let mut owners: Vec<Symbol> = Vec::new();
+        let mut weights: Vec<usize> = Vec::new();
+        let slot_of_record: Vec<u32> = records
+            .iter()
+            .map(|rec| {
+                let slot = *slot_of_owner.entry(rec.direct_owner).or_insert_with(|| {
+                    owners.push(rec.direct_owner);
+                    weights.push(0);
+                    (owners.len() - 1) as u32
+                });
+                weights[slot as usize] += 1;
+                slot
+            })
+            .collect();
+
+        // --- Base names (§5.3.1): clean each owner once. ---
+        // `(basic, corporate)` forms per owner; the frequent-word counts
+        // weight each owner by its record count, so the extractor is the
+        // one built from every record's Direct Owner name.
+        let staged: Vec<(String, String)> = self
+            .sharded(owners.len(), "cluster.base_names", "owners", |range| {
+                owners[range]
+                    .iter()
+                    .map(|&owner| {
+                        let basic = basic_clean(names.resolve(owner));
+                        let corporate = corporate_form(&basic);
+                        (basic, corporate)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        let extractor = BaseNameExtractor::from_weighted(
+            staged
+                .iter()
+                .zip(&weights)
+                .map(|((_, corporate), &weight)| (corporate, weight)),
             self.options.frequency_threshold,
         );
 
         // --- 𝒲 clusters: exact (basic-cleaned) Direct Owner name. ---
-        // Cleaning is cached per owner *symbol*: the first record carrying a
-        // given owner is also the first record that could mint its 𝒲
-        // cluster, so skipping repeat owners cannot change 𝒲 numbering.
         let mut w_names = Interner::new();
         let mut base_names = Interner::new();
-        let mut w_of_record: Vec<Symbol> = Vec::with_capacity(records.len());
         let mut base_of_w: Vec<Symbol> = Vec::new();
-        let mut w_of_owner: HashMap<Symbol, Symbol> = HashMap::new();
-        for rec in records {
-            let w = match w_of_owner.get(&rec.direct_owner) {
-                Some(&w) => w,
-                None => {
-                    let owner = names.resolve(rec.direct_owner);
-                    let w = w_names.intern(&basic_clean(owner));
-                    if w.index() == base_of_w.len() {
-                        // Fresh 𝒲 cluster: compute its base name once.
-                        base_of_w.push(base_names.intern(&extractor.extract(owner)));
-                    }
-                    w_of_owner.insert(rec.direct_owner, w);
-                    w
+        let w_of_owner: Vec<Symbol> = staged
+            .iter()
+            .map(|(basic, corporate)| {
+                let w = w_names.intern(basic);
+                if w.index() == base_of_w.len() {
+                    // Fresh 𝒲 cluster: its base name comes from the owner
+                    // that minted it.
+                    base_of_w.push(base_names.intern(&extractor.base_from_corporate(corporate)));
                 }
-            };
-            w_of_record.push(w);
-        }
+                w
+            })
+            .collect();
+        let w_of_record: Vec<Symbol> = slot_of_record
+            .iter()
+            .map(|&slot| w_of_owner[slot as usize])
+            .collect();
 
         // --- 𝓡 groups: (base name, child-most RC). ---
         // --- 𝓐 groups: (base name, origin ASN cluster). ---
-        let threads = self.threads.max(1);
-        let obs = self.obs.clone();
-        let groups = if threads > 1 && records.len() >= 2 * threads {
-            let chunk = records.len().div_ceil(threads);
-            let shards: Vec<GroupShard> = std::thread::scope(|scope| {
-                let handles: Vec<_> = records
-                    .chunks(chunk)
-                    .zip(w_of_record.chunks(chunk))
-                    .enumerate()
-                    .map(|(idx, (recs, ws))| {
-                        let base_of_w = &base_of_w;
-                        let obs = obs.clone();
-                        scope.spawn(move || {
-                            let log = obs
-                                .as_ref()
-                                .and_then(|o| o.thread_log("cluster.group_build"));
-                            let span = log.as_ref().map(|l| {
-                                let s = l.span("cluster.group_build");
-                                s.arg("shard", idx);
-                                s.arg("records", recs.len());
-                                s
-                            });
-                            let shard =
-                                GroupShard::build(recs, ws, base_of_w, routes, asn_clusters, rpki);
-                            drop(span);
-                            shard
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let mut merged = GroupShard::default();
-            for shard in shards {
-                merged.merge(shard);
-            }
-            merged
-        } else {
-            let log = obs
-                .as_ref()
-                .and_then(|o| o.thread_log("cluster.group_build"));
-            let span = log.as_ref().map(|l| {
-                let s = l.span("cluster.group_build");
-                s.arg("shard", 0);
-                s.arg("records", records.len());
-                s
-            });
-            let shard = GroupShard::build(
-                records,
-                &w_of_record,
+        let mut groups = GroupShard::default();
+        for shard in self.sharded(records.len(), "cluster.group_build", "records", |range| {
+            GroupShard::build(
+                &records[range.clone()],
+                &w_of_record[range],
                 &base_of_w,
                 routes,
                 asn_clusters,
                 rpki,
-            );
-            drop(span);
-            shard
-        };
+            )
+        }) {
+            groups.merge(shard);
+        }
         let GroupShard {
             r_groups,
             a_groups,
@@ -773,6 +809,70 @@ mod tests {
                 seq.merge_edges,
                 "threads={threads}"
             );
+        }
+    }
+
+    /// The per-owner, record-weighted extractor the clusterer builds is the
+    /// extractor built from every record's Direct Owner name: same frequent
+    /// words, same base name for every owner, and the clusterer's per-record
+    /// base names follow it — on synth corpora, at thresholds 0, 5 and 100.
+    #[test]
+    fn weighted_extractor_equals_per_record_corpus() {
+        use p2o_strings::clean::{basic_clean, corporate_form};
+        use p2o_synth::{World, WorldConfig};
+        for config in [WorldConfig::tiny(7), WorldConfig::default_scale(42)] {
+            let built = World::generate(config).build_inputs();
+            let prefixes: Vec<Prefix> = built.routes.iter().map(|(p, _)| *p).collect();
+            let (records, _) =
+                crate::Pipeline::with_threads(1).resolve_stage(&built.tree, &prefixes);
+            let names = built.tree.names();
+            let corpus: Vec<&str> = records
+                .iter()
+                .map(|r| names.resolve(r.direct_owner))
+                .collect();
+            let mut weight: HashMap<&str, usize> = HashMap::new();
+            for &name in &corpus {
+                *weight.entry(name).or_insert(0) += 1;
+            }
+            assert!(weight.len() < corpus.len(), "some owner must repeat");
+            for threshold in [0, 5, 100] {
+                let per_record = BaseNameExtractor::build(corpus.iter(), threshold);
+                let weighted = BaseNameExtractor::from_weighted(
+                    weight
+                        .iter()
+                        .map(|(name, &w)| (corporate_form(&basic_clean(name)), w)),
+                    threshold,
+                );
+                assert!(
+                    !per_record.frequent_words().is_empty(),
+                    "threshold {threshold}"
+                );
+                assert_eq!(weighted.frequent_words(), per_record.frequent_words());
+                for name in weight.keys() {
+                    let corporate = corporate_form(&basic_clean(name));
+                    assert_eq!(
+                        weighted.base_from_corporate(&corporate),
+                        per_record.extract(name),
+                        "threshold {threshold}: {name:?}"
+                    );
+                }
+                let options = ClusterOptions {
+                    frequency_threshold: threshold,
+                    ..ClusterOptions::default()
+                };
+                for threads in [1, 3] {
+                    let out = Clusterer::new(options).with_threads(threads).cluster(
+                        &records,
+                        &built.routes,
+                        &built.clusters,
+                        &built.rpki,
+                        names,
+                    );
+                    for (info, &name) in out.info.iter().zip(&corpus) {
+                        assert_eq!(info.base_name, per_record.extract(name), "{name:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 use p2o_net::Prefix;
 use p2o_obs::DecisionTrace;
 
-use crate::cluster::{Clusterer, MergeEdge};
+use crate::cluster::MergeEdge;
 use crate::dataset::Prefix2OrgDataset;
 use crate::exceptions::{ExceptionAction, ExceptionSet};
 use crate::pipeline::{Pipeline, PipelineInputs};
@@ -294,33 +294,7 @@ impl Pipeline {
         inputs: &PipelineInputs<'_>,
         extra: Option<&Prefix>,
     ) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
-        let mut prefixes: Vec<Prefix> = inputs.routes.iter().map(|(p, _)| *p).collect();
-        if let Some(prefix) = extra {
-            if inputs.routes.origins(prefix).is_none() {
-                prefixes.push(*prefix);
-            }
-        }
-        let (ownership, unresolved) = self.resolve_stage(inputs.delegations, &prefixes);
-        let clustering = Clusterer::new(self.cluster_options)
-            .with_threads(self.threads)
-            .with_merge_evidence()
-            .cluster(
-                &ownership,
-                inputs.routes,
-                inputs.asn_clusters,
-                inputs.rpki,
-                inputs.delegations.names(),
-            );
-        let merge_edges = clustering.merge_edges.clone();
-        let mut dataset = Prefix2OrgDataset::assemble(
-            ownership,
-            clustering,
-            unresolved,
-            inputs.routes.all_origins().len(),
-            inputs.delegations.names(),
-        );
-        dataset.apply_rov(inputs.routes, inputs.rpki);
-        (dataset, merge_edges)
+        self.run_inner(inputs, extra, None, true)
     }
 }
 

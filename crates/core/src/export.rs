@@ -8,8 +8,11 @@
 //! [`Prefix2OrgDataset::record_json`]). Import round-trips every field
 //! needed to query a snapshot without re-running the pipeline.
 
+use std::fmt::Write as _;
+
 use p2o_net::Prefix;
 use p2o_rpki::RovStatus;
+use p2o_util::json::write_escaped;
 use p2o_util::Json;
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
@@ -201,12 +204,57 @@ impl ExportRecord {
     }
 }
 
+/// Appends `rec`'s canonical JSONL line, newline included: the bytes of
+/// `ExportRecord::from(rec).to_json().to_string()` plus `'\n'`, written
+/// straight into `out` without building the record or its JSON tree. The
+/// one renderer behind [`to_jsonl`] and the frozen artifact's thaw check.
+///
+/// Field order is [`ExportRecord::to_json`]'s. Strings go through the
+/// shared escaper; prefixes, registries and allocation types print as
+/// plain ASCII with nothing to escape; cluster ids are integers, printed as
+/// the JSON writer prints integral numbers.
+pub fn write_jsonl_line(rec: &PrefixRecord, out: &mut String) {
+    let _ = write!(
+        out,
+        "{{\"prefix\":\"{}\",\"registry\":\"{}\",\"direct_owner\":",
+        rec.prefix, rec.registry
+    );
+    write_escaped(out, &rec.direct_owner);
+    let _ = write!(
+        out,
+        ",\"do_prefix\":\"{}\",\"do_alloc\":\"{:?}\",\"delegated_customers\":[",
+        rec.do_prefix, rec.do_alloc
+    );
+    for (i, step) in rec.delegated_customers.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        write_escaped(out, &step.org_name);
+        let _ = write!(out, ",\"{}\",\"{:?}\"]", step.prefix, step.alloc);
+    }
+    out.push_str("],\"base_name\":");
+    write_escaped(out, &rec.base_name);
+    out.push_str(",\"rpki_certificate\":");
+    match &rec.rpki_certificate {
+        Some(id) => write_escaped(out, id),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"origin_asn_clusters\":[");
+    for (i, c) in rec.origin_asn_clusters.iter().enumerate() {
+        let _ = write!(out, "{}{c}", if i == 0 { "" } else { "," });
+    }
+    let _ = write!(out, "],\"rov\":\"{}\",\"final_cluster\":", rec.rov.as_str());
+    write_escaped(out, &rec.final_cluster_label);
+    if let Some(org) = &rec.local_exception {
+        out.push_str(",\"local_exception\":");
+        write_escaped(out, org);
+    }
+    out.push_str("}\n");
+}
+
 /// Serializes the whole dataset as JSON Lines.
 pub fn to_jsonl(dataset: &Prefix2OrgDataset) -> String {
     let mut out = String::new();
     for rec in dataset.records() {
-        out.push_str(&ExportRecord::from(rec).to_json().to_string());
-        out.push('\n');
+        write_jsonl_line(rec, &mut out);
     }
     out
 }
@@ -259,6 +307,87 @@ NetRange: 63.80.52.0 - 63.80.52.255\nNetType: Reassignment\nOrgName: Ceva Inc\nU
             asn_clusters: &clusters,
             rpki: &rpki,
         })
+    }
+
+    /// Every name a WHOIS record could carry that the escaper must handle:
+    /// quotes, backslashes, every control character below 0x20, DEL,
+    /// U+2028 and multi-byte UTF-8.
+    fn hostile_names() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        vec![
+            "Quote \" Inc".to_string(),
+            "Back\\slash \\\" Ltd".to_string(),
+            format!("ctl{controls}end"),
+            "del\u{7f}ete".to_string(),
+            "line\u{2028}sep\u{2029}".to_string(),
+            "Téléphonie 東京 \u{1F310} Ltd".to_string(),
+            String::new(),
+        ]
+    }
+
+    fn hand_record(i: usize, prefix: &str, name: &str) -> PrefixRecord {
+        let p: Prefix = prefix.parse().unwrap();
+        PrefixRecord {
+            prefix: p,
+            registry: p2o_whois::Registry::Rir(p2o_whois::Rir::Ripe),
+            direct_owner: format!("{name} owner"),
+            do_prefix: p,
+            do_alloc: AllocationType::ALL[i % AllocationType::ALL.len()],
+            delegated_customers: (0..i % 3)
+                .map(|k| crate::dataset::CustomerStep {
+                    org_name: format!("{name} dc{k}"),
+                    prefix: p,
+                    alloc: AllocationType::ALL[(i + k) % AllocationType::ALL.len()],
+                })
+                .collect(),
+            base_name: name.to_string(),
+            rpki_certificate: i.is_multiple_of(2).then(|| format!("cert:{name}")),
+            origin_asn_clusters: (0..i % 4).map(|k| u32::MAX - k as u32).collect(),
+            final_cluster_label: format!("{name}-I"),
+            cluster: crate::cluster::ClusterId(i as u32),
+            rov: [RovStatus::Valid, RovStatus::Invalid, RovStatus::NotFound][i % 3],
+            local_exception: (i % 3 == 1).then(|| format!("{name} asserted")),
+        }
+    }
+
+    #[test]
+    fn line_writer_matches_json_tree_on_hand_built_records() {
+        let prefixes = [
+            "192.0.2.0/24",
+            "2001:db8::/32",
+            "::/0",
+            "0.0.0.0/0",
+            "2001:db8::1/128",
+        ];
+        let mut all = String::new();
+        for (i, name) in hostile_names().iter().enumerate() {
+            for (j, prefix) in prefixes.iter().enumerate() {
+                let rec = hand_record(i + j, prefix, name);
+                let mut line = String::new();
+                write_jsonl_line(&rec, &mut line);
+                let want = format!("{}\n", ExportRecord::from(&rec).to_json());
+                assert_eq!(line, want, "record {i}/{j}");
+                let back = from_jsonl(&line).unwrap();
+                assert_eq!(back, vec![ExportRecord::from(&rec)]);
+                all.push_str(&line);
+            }
+        }
+        // The shapes the matrix must have covered: a null certificate, an
+        // empty DC chain and an empty cluster list, and each escape class.
+        for needle in [
+            "\"rpki_certificate\":null",
+            "\"delegated_customers\":[]",
+            "\"origin_asn_clusters\":[]",
+            "\\\"",
+            "\\\\",
+            "\\u0000",
+            "\\u001f",
+            "\\n",
+            "\u{7f}",
+            "\u{2028}",
+        ] {
+            assert!(all.contains(needle), "missing {needle:?} in {all}");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ use p2o_whois::Registry;
 use crate::cluster::{ClusterId, MergeEdge};
 use crate::dataset::{CustomerStep, Prefix2OrgDataset, PrefixRecord};
 use crate::explain::step;
-use crate::export::{to_jsonl, ExportRecord};
+use crate::export::{to_jsonl, write_jsonl_line, ExportRecord};
 use crate::pipeline::PipelineInputs;
 
 /// The frozen artifact's file name inside a build directory.
@@ -915,8 +915,7 @@ impl FrozenDataset {
 
     /// Appends record `idx`'s canonical JSONL line, newline included.
     fn push_jsonl_line(&self, idx: u32, out: &mut String) {
-        out.push_str(&self.export_record(idx).to_json().to_string());
-        out.push('\n');
+        write_jsonl_line(&self.prefix_record(idx), out);
     }
 
     /// Re-derives the canonical JSONL export. Must reproduce the original

@@ -70,7 +70,7 @@ pub use dataset::{CustomerStep, DatasetMetrics, Prefix2OrgDataset, PrefixRecord}
 pub use delta::{diff, DatasetDelta, OwnerChange};
 pub use exceptions::{ExceptionAction, ExceptionSet, ExceptionSummary};
 pub use explain::{attribution_trace, attribution_trace_with};
-pub use export::{from_jsonl, to_jsonl, ExportRecord};
+pub use export::{from_jsonl, to_jsonl, write_jsonl_line, ExportRecord};
 pub use frozen::{
     freeze, freeze_with_export_digest, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION,
     FROZEN_LABEL,

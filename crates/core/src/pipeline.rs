@@ -6,7 +6,7 @@ use p2o_net::Prefix;
 use p2o_rpki::ValidatedRepo;
 use p2o_whois::DelegationTree;
 
-use crate::cluster::{ClusterOptions, Clusterer};
+use crate::cluster::{ClusterOptions, Clusterer, MergeEdge};
 use crate::dataset::Prefix2OrgDataset;
 use crate::resolve::{OwnershipRecord, Resolver};
 
@@ -67,29 +67,36 @@ impl Pipeline {
 
     /// Runs the full pipeline and assembles the dataset.
     pub fn run(&self, inputs: &PipelineInputs<'_>) -> Prefix2OrgDataset {
-        self.run_inner(inputs, None)
+        self.run_inner(inputs, None, None, false).0
     }
 
     /// Runs the full pipeline with observability: per-stage wall times
     /// (`pipeline.resolve`, `pipeline.cluster`, `pipeline.assemble`) plus
-    /// resolution and cluster-merge counters on `obs`.
+    /// resolution and cluster-merge counters on `obs`. Also records the
+    /// §5.3.3 merge evidence, so one observed run returns what
+    /// [`Pipeline::dataset_with_evidence`] does.
     pub fn run_with_obs(
         &self,
         inputs: &PipelineInputs<'_>,
         obs: &p2o_obs::Obs,
-    ) -> Prefix2OrgDataset {
-        self.run_inner(inputs, Some(obs))
+    ) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
+        self.run_inner(inputs, None, Some(obs), true)
     }
 
-    fn run_inner(
+    /// The one pipeline run behind every entry point. `extra` names a
+    /// prefix to resolve alongside the routed set when it is not routed
+    /// itself; the merge evidence is empty unless `evidence` is set.
+    pub(crate) fn run_inner(
         &self,
         inputs: &PipelineInputs<'_>,
+        extra: Option<&Prefix>,
         obs: Option<&p2o_obs::Obs>,
-    ) -> Prefix2OrgDataset {
+        evidence: bool,
+    ) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
         // One pass over the table collects the prefix list and counts MOAS
         // prefixes together.
         let mut moas = 0usize;
-        let mut prefixes: Vec<Prefix> = Vec::with_capacity(inputs.routes.len());
+        let mut prefixes: Vec<Prefix> = Vec::with_capacity(inputs.routes.len() + 1);
         for (p, origins) in inputs.routes.iter() {
             if origins.len() > 1 {
                 moas += 1;
@@ -100,6 +107,11 @@ impl Pipeline {
             o.counter("pipeline.routed_prefixes")
                 .add(prefixes.len() as u64);
             o.counter("pipeline.moas_prefixes").add(moas as u64);
+        }
+        if let Some(prefix) = extra {
+            if inputs.routes.origins(prefix).is_none() {
+                prefixes.push(*prefix);
+            }
         }
 
         let resolve_timer = obs.map(|o| o.stage("pipeline.resolve"));
@@ -118,7 +130,10 @@ impl Pipeline {
         if let Some(o) = obs {
             clusterer = clusterer.with_obs(o);
         }
-        let clustering = clusterer.cluster(
+        if evidence {
+            clusterer = clusterer.with_merge_evidence();
+        }
+        let mut clustering = clusterer.cluster(
             &ownership,
             inputs.routes,
             inputs.asn_clusters,
@@ -144,6 +159,7 @@ impl Pipeline {
                 .add(clustering.rpki_covered_prefixes as u64);
         }
 
+        let merge_edges = std::mem::take(&mut clustering.merge_edges);
         let assemble_timer = obs.map(|o| o.stage("pipeline.assemble"));
         let mut dataset = Prefix2OrgDataset::assemble(
             ownership,
@@ -163,7 +179,7 @@ impl Pipeline {
             t.items(dataset.len() as u64);
             t.finish();
         }
-        dataset
+        (dataset, merge_edges)
     }
 
     /// The resolution stage alone (exposed for benches).

@@ -176,3 +176,144 @@ fn span_matches_brute_force() {
         assert_eq!(span.v4_addresses(), brute.len() as u64);
     });
 }
+
+/// Sort-and-merge-from-scratch oracle: the disjoint interval list covering
+/// `ivs`, with overlapping and adjacent intervals merged.
+fn merged_from_scratch(mut ivs: Vec<(u128, u128)>) -> Vec<(u128, u128)> {
+    ivs.sort_unstable();
+    let mut out: Vec<(u128, u128)> = Vec::new();
+    for (first, last) in ivs {
+        match out.last_mut() {
+            // `first > top.1` in the adjacency arm, so `first - 1` cannot
+            // underflow.
+            Some(top) if first <= top.1 || first - 1 == top.1 => top.1 = top.1.max(last),
+            _ => out.push((first, last)),
+        }
+    }
+    out
+}
+
+/// The low `k` bits set (`k` ≤ 128).
+fn low_bits(k: u8) -> u128 {
+    if k >= 128 {
+        u128::MAX
+    } else {
+        (1u128 << k) - 1
+    }
+}
+
+/// Hundreds of `(bits, len)` prefixes of a `width`-bit family in random
+/// order: fresh ones, duplicates, nested ones, siblings and next-door
+/// blocks of earlier ones, plus (sometimes) the given domain edges.
+fn span_workload(g: &mut Gen, width: u8, edges: &[(u128, u8)]) -> Vec<(u128, u8)> {
+    let n = g.range(200, 400);
+    let mut out: Vec<(u128, u8)> = Vec::with_capacity(n + edges.len());
+    // Four /8-sized regions keep fresh prefixes colliding.
+    let fresh = |g: &mut Gen| {
+        let region = (g.below(4) as u128) << (width - 8);
+        let len = g.range(8, width as usize) as u8;
+        (region | (g.u128() & low_bits(width - 8)), len)
+    };
+    for _ in 0..n {
+        if out.is_empty() {
+            out.push(fresh(g));
+            continue;
+        }
+        let (bits, len) = *g.pick(&out);
+        let block = 1u128 << (width - len.max(1));
+        let next_door = bits
+            .checked_add(block)
+            .filter(|b| width == 128 || b >> width == 0);
+        out.push(match g.below(5) {
+            0 => fresh(g),
+            1 => (bits, len),
+            2 if len < width => {
+                let sub = g.range(len as usize + 1, width as usize) as u8;
+                (bits | (g.u128() & low_bits(width - len)), sub)
+            }
+            3 if len > 0 => (bits ^ block, len),
+            4 if len > 0 && next_door.is_some() => (next_door.unwrap(), len),
+            _ => (bits, len),
+        });
+    }
+    for &edge in edges {
+        if g.chance(if edge.1 == 0 { 0.1 } else { 0.5 }) {
+            out.push(edge);
+        }
+    }
+    for i in (1..out.len()).rev() {
+        out.swap(i, g.below(i + 1));
+    }
+    out
+}
+
+/// [`AddressSpan`] keeps exactly the sort-and-merge interval set of
+/// everything added, for hundreds of random IPv4 and IPv6 prefixes in
+/// random order, including the domain edges that exercise the `min`/`max`
+/// probe branches of the insert.
+#[test]
+fn span_matches_sort_and_merge_oracle() {
+    const V4_EDGES: &[(u128, u8)] = &[(0, 0), (0, 32), (0xFFFF_FFFF, 32)];
+    const V6_EDGES: &[(u128, u8)] = &[(0, 0), (0, 128), (u128::MAX, 128)];
+    run_cases(64, |g| {
+        let mut span = AddressSpan::new();
+        let v4: Vec<Prefix4> = span_workload(g, 32, V4_EDGES)
+            .into_iter()
+            .map(|(bits, len)| Prefix4::new_truncated(bits as u32, len))
+            .collect();
+        let v6: Vec<Prefix6> = span_workload(g, 128, V6_EDGES)
+            .into_iter()
+            .map(|(bits, len)| Prefix6::new_truncated(bits, len))
+            .collect();
+        // Interleave the families so each insert sees the other's state.
+        for i in 0..v4.len().max(v6.len()) {
+            if let Some(p) = v4.get(i) {
+                span.add(&Prefix::V4(*p));
+            }
+            if let Some(p) = v6.get(i) {
+                span.add(&Prefix::V6(*p));
+            }
+        }
+        let want4 = merged_from_scratch(
+            v4.iter()
+                .map(|p| (p.first_addr() as u128, p.last_addr() as u128))
+                .collect(),
+        );
+        let want6 =
+            merged_from_scratch(v6.iter().map(|p| (p.first_addr(), p.last_addr())).collect());
+        assert_eq!(span.v4_intervals(), want4);
+        assert_eq!(span.v6_intervals(), want6);
+        let addrs: u128 = want4.iter().map(|(a, b)| b - a + 1).sum();
+        assert_eq!(span.v4_addresses() as u128, addrs);
+        let slash64: u128 = want6.iter().map(|(a, b)| (b >> 64) - (a >> 64) + 1).sum();
+        assert_eq!(span.v6_slash64(), slash64);
+    });
+}
+
+/// Each domain edge on its own and next to its neighbours: the inserts
+/// whose `first - 1` or `last + 1` probe would leave the domain.
+#[test]
+fn span_domain_edges() {
+    let mut span = AddressSpan::new();
+    for p in [
+        "0.0.0.0/32",
+        "255.255.255.255/32",
+        "::/128",
+        "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+    ] {
+        span.add(&p.parse().unwrap());
+    }
+    assert_eq!(span.v4_addresses(), 2);
+    assert_eq!(span.v6_slash64(), 2);
+    span.add(&"0.0.0.1/32".parse().unwrap());
+    span.add(&"255.255.255.254/32".parse().unwrap());
+    assert_eq!(
+        span.v4_intervals(),
+        vec![(0, 1), (0xFFFF_FFFE, 0xFFFF_FFFF)]
+    );
+    span.add(&"0.0.0.0/0".parse().unwrap());
+    span.add(&"::/0".parse().unwrap());
+    assert_eq!(span.v4_intervals(), vec![(0, 0xFFFF_FFFF)]);
+    assert_eq!(span.v6_intervals(), vec![(0, u128::MAX)]);
+    assert_eq!(span.v4_addresses(), 1 << 32);
+}

@@ -76,6 +76,21 @@ impl AddressSpan {
     pub fn is_empty(&self) -> bool {
         self.v4.is_empty() && self.v6.is_empty()
     }
+
+    /// The stored IPv4 intervals, widened to `u128`.
+    #[cfg(test)]
+    pub(crate) fn v4_intervals(&self) -> Vec<(u128, u128)> {
+        self.v4
+            .iter()
+            .map(|&(a, b)| (a as u128, b as u128))
+            .collect()
+    }
+
+    /// The stored IPv6 intervals.
+    #[cfg(test)]
+    pub(crate) fn v6_intervals(&self) -> Vec<(u128, u128)> {
+        self.v6.iter().copied().collect()
+    }
 }
 
 /// Inserts `[first, last]` into a disjoint interval set, merging overlaps and
@@ -88,14 +103,20 @@ where
     let mut new_first = first;
     let mut new_last = last;
     // Candidate overlapping/adjacent intervals: those starting at or before
-    // last+1 and ending at or after first-1. Collect then remove.
+    // last+1 and ending at or after first-1. The set is disjoint and
+    // sorted, so at most one of them starts before first-1 (the nearest
+    // predecessor, if it reaches first-1); the rest start inside
+    // [first-1, last+1]. Both are found by range queries in O(log n).
     let lo_probe = if first == min { min } else { first.dec() };
     let hi_probe = if last == max { max } else { last.inc() };
-    let to_merge: Vec<(T, T)> = set
-        .iter()
+    let before = set
+        .range(..(lo_probe, min))
+        .next_back()
         .copied()
-        .skip_while(|(_, b)| *b < lo_probe)
-        .take_while(|(a, _)| *a <= hi_probe)
+        .filter(|(_, b)| *b >= lo_probe);
+    let to_merge: Vec<(T, T)> = before
+        .into_iter()
+        .chain(set.range((lo_probe, min)..=(hi_probe, max)).copied())
         .collect();
     for iv in &to_merge {
         set.remove(iv);

@@ -685,19 +685,22 @@ impl HistogramReport {
         }
     }
 
-    /// Approximate quantile `q` in `[0, 1]` from bucket midpoints.
+    /// Approximate quantile `q` in `[0, 1]` from bucket midpoints, clamped
+    /// to the observed `[min, max]`.
     pub fn quantile(&self, q: f64) -> u64 {
-        midpoint_quantile(&self.buckets, self.count, self.max, q)
+        midpoint_quantile(&self.buckets, self.count, self.min, self.max, q)
     }
 }
 
 /// The shared midpoint-quantile walk over power-of-two buckets, used by
 /// both [`HistogramReport::quantile`] and
-/// [`runtime::WindowSnapshot::quantile`]: returns the midpoint of the
-/// first bucket whose cumulative count reaches `ceil(q * count)`
-/// (clamped to at least one sample), `0` for an empty histogram, and
-/// `max` if the bucket counts race behind `count`.
-pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -> u64 {
+/// [`runtime::WindowSnapshot::quantile`]: the midpoint of the first bucket
+/// whose cumulative count reaches `ceil(q * count)` (clamped to at least
+/// one sample), clamped to the observed `[min, max]` — a bucket midpoint
+/// can lie outside the samples it summarizes. `0` for an empty histogram,
+/// and `max` if the bucket counts race behind `count` (or a racing `min`
+/// reads above `max`). Monotone in `q`.
+pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, min: u64, max: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }
@@ -707,11 +710,12 @@ pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -
         seen += n;
         if seen >= target {
             // Midpoint of bucket i: values with bit length i.
-            return if i == 0 {
+            let mid = if i == 0 {
                 0
             } else {
                 (1u64 << (i - 1)).saturating_add(1 << (i - 1) >> 1)
             };
+            return mid.max(min).min(max);
         }
     }
     max
@@ -1201,6 +1205,46 @@ mod tests {
         assert!(blank.contains("counters\n"));
     }
 
+    /// Every quantile of a cumulative and of a windowed histogram lies in
+    /// the observed `[min, max]` and never falls as `q` rises, for samples
+    /// of any magnitude.
+    #[test]
+    fn quantiles_lie_in_min_max_and_rise_with_q() {
+        fn check(label: &str, min: u64, max: u64, quantile: impl Fn(f64) -> u64) {
+            let qs = (-2..=102).map(|i| i as f64 / 100.0);
+            let mut last = 0u64;
+            for q in qs {
+                let v = quantile(q);
+                assert!(
+                    min <= v && v <= max,
+                    "{label}: q={q} gave {v} outside [{min}, {max}]"
+                );
+                assert!(v >= last, "{label}: q={q} gave {v} below {last}");
+                last = v;
+            }
+        }
+        p2o_util::check::run_cases(256, |g| {
+            let obs = Obs::new();
+            let h = obs.histogram("q");
+            let w = runtime::WindowedHistogram::new();
+            for _ in 0..g.range(1, 64) {
+                let v = if g.chance(0.1) {
+                    0
+                } else {
+                    g.u64() >> g.below(64)
+                };
+                h.record(v);
+                w.record_at(v, 0);
+            }
+            let report = obs.report();
+            let snap = report.histogram("q").unwrap();
+            check("histogram", snap.min, snap.max, |q| snap.quantile(q));
+            let win = w.window_at(60, 0);
+            assert_eq!((win.min, win.max), (snap.min, snap.max));
+            check("window", win.min, win.max, |q| win.quantile(q));
+        });
+    }
+
     #[test]
     fn quantile_edge_cases_empty_bounds_and_single_sample() {
         let obs = Obs::new();
@@ -1210,13 +1254,13 @@ mod tests {
         assert_eq!(empty.quantile(0.0), 0);
         assert_eq!(empty.quantile(0.5), 0);
         assert_eq!(empty.quantile(1.0), 0);
-        // Single sample: every quantile lands in its bucket. 300 has bit
-        // length 9, so the midpoint is 256 + 128.
+        // Single sample: every quantile is the sample. 300 has bit length
+        // 9, so its bucket midpoint 256 + 128 clamps down to the max.
         h.record(300);
         let one = obs.report().histogram("edge").unwrap().clone();
         assert_eq!(one.count, 1);
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(one.quantile(q), 384, "q={q}");
+            assert_eq!(one.quantile(q), 300, "q={q}");
         }
         // q outside [0, 1] clamps instead of panicking or overshooting.
         assert_eq!(one.quantile(-3.0), one.quantile(0.0));
@@ -1225,7 +1269,7 @@ mod tests {
         h.record(0);
         let two = obs.report().histogram("edge").unwrap().clone();
         assert_eq!(two.quantile(0.0), 0, "q=0 is the smallest sample's bucket");
-        assert_eq!(two.quantile(1.0), 384, "q=1 is the largest sample's bucket");
+        assert_eq!(two.quantile(1.0), 300, "q=1 is the largest sample");
     }
 
     #[test]

@@ -62,6 +62,8 @@ struct Slot {
     buckets: [AtomicU64; VALUE_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
+    /// `u64::MAX` while the slot is empty.
+    min: AtomicU64,
     max: AtomicU64,
 }
 
@@ -73,6 +75,7 @@ impl Slot {
             buckets: [const { AtomicU64::new(0) }; VALUE_BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
     }
@@ -82,6 +85,7 @@ impl Slot {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
@@ -91,6 +95,7 @@ impl Slot {
         }
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
     }
 }
@@ -217,6 +222,7 @@ impl WindowedHistogram {
         let mut buckets = vec![0u64; VALUE_BUCKETS];
         let mut count = 0u64;
         let mut sum = 0u64;
+        let mut min = u64::MAX;
         let mut max = 0u64;
         for slot in &self.inner.slots {
             let epoch = slot.epoch.load(Ordering::Acquire);
@@ -228,6 +234,7 @@ impl WindowedHistogram {
             // quantiles tolerate that by construction.
             count += slot.count.load(Ordering::Relaxed);
             sum += slot.sum.load(Ordering::Relaxed);
+            min = min.min(slot.min.load(Ordering::Relaxed));
             max = max.max(slot.max.load(Ordering::Relaxed));
             for (acc, b) in buckets.iter_mut().zip(&slot.buckets) {
                 *acc += b.load(Ordering::Relaxed);
@@ -242,6 +249,7 @@ impl WindowedHistogram {
             window_secs,
             count,
             sum,
+            min: if count == 0 { 0 } else { min },
             max,
             rate_per_sec: count as f64 / covered_s,
             buckets,
@@ -258,6 +266,8 @@ pub struct WindowSnapshot {
     pub count: u64,
     /// Sum of the samples inside the window.
     pub sum: u64,
+    /// Smallest sample inside the window (0 when empty).
+    pub min: u64,
     /// Largest sample inside the window (0 when empty).
     pub max: u64,
     /// Samples per second over the window (denominator clipped to the
@@ -268,10 +278,11 @@ pub struct WindowSnapshot {
 }
 
 impl WindowSnapshot {
-    /// Approximate quantile `q` in `[0, 1]` from bucket midpoints (same
-    /// estimator as [`HistogramReport::quantile`](crate::HistogramReport::quantile)).
+    /// Approximate quantile `q` in `[0, 1]` from bucket midpoints, clamped
+    /// to the window's `[min, max]` (same estimator as
+    /// [`HistogramReport::quantile`](crate::HistogramReport::quantile)).
     pub fn quantile(&self, q: f64) -> u64 {
-        midpoint_quantile(&self.buckets, self.count, self.max, q)
+        midpoint_quantile(&self.buckets, self.count, self.min, self.max, q)
     }
 
     /// Mean sample value (0 when empty).
@@ -657,9 +668,11 @@ mod tests {
         let snap = w.window_at(60, NS);
         assert_eq!(snap.count, 1);
         assert_eq!(snap.max, 1000);
+        assert_eq!(snap.min, 1000);
         assert_eq!(snap.quantile(0.0), snap.quantile(1.0));
-        // 1000 has bit length 10; the bucket midpoint is 512 + 256.
-        assert_eq!(snap.quantile(0.5), 768);
+        // 1000 has bit length 10; the bucket midpoint 512 + 256 clamps up
+        // to the only sample.
+        assert_eq!(snap.quantile(0.5), 1000);
         // Rate denominator clips to the histogram's 1 s age.
         assert!(
             (snap.rate_per_sec - 1.0).abs() < 1e-9,

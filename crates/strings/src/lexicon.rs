@@ -353,6 +353,12 @@ pub fn legal_endings() -> &'static HashSet<&'static str> {
     SET.get_or_init(|| LEGAL_ENTITY_ENDINGS.iter().copied().collect())
 }
 
+/// The street-address indicator tokens as a set.
+pub fn street_tokens() -> &'static HashSet<&'static str> {
+    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    SET.get_or_init(|| STREET_TOKENS.iter().copied().collect())
+}
+
 /// The spelling standardization map.
 pub fn spelling_map() -> &'static HashMap<&'static str, &'static str> {
     static MAP: OnceLock<HashMap<&'static str, &'static str>> = OnceLock::new();

@@ -3,8 +3,8 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::clean::{
-    basic_clean, drop_corporate_words, drop_frequent_words, drop_geo_words, refill_short,
-    regex_clean, CleanTrace,
+    basic_clean, corporate_form, drop_corporate_words, drop_frequent_words, drop_geo_words,
+    refill_short, regex_clean, CleanTrace,
 };
 
 /// The paper's frequent-word threshold: tokens appearing more than this many
@@ -70,11 +70,33 @@ impl BaseNameExtractor {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        Self::from_weighted(
+            corpus
+                .into_iter()
+                .map(|name| (corporate_form(&basic_clean(name.as_ref())), 1)),
+            threshold,
+        )
+    }
+
+    /// Builds an extractor from distinct names already taken to their
+    /// post-corporate-drop form ([`corporate_form`]), each weighted by how
+    /// many corpus entries carry it. Identical to [`build`](Self::build)
+    /// over the corpus with every name repeated `weight` times, but cleans
+    /// each distinct name once.
+    pub fn from_weighted<I, S>(staged: I, threshold: usize) -> Self
+    where
+        I: IntoIterator<Item = (S, usize)>,
+        S: AsRef<str>,
+    {
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for name in corpus {
-            let staged = drop_corporate_words(&regex_clean(&basic_clean(name.as_ref())));
-            for tok in staged.split_whitespace() {
-                *counts.entry(tok.to_string()).or_insert(0) += 1;
+        for (staged, weight) in staged {
+            for tok in staged.as_ref().split_whitespace() {
+                match counts.get_mut(tok) {
+                    Some(c) => *c += weight,
+                    None => {
+                        counts.insert(tok.to_string(), weight);
+                    }
+                }
             }
         }
         let frequent = counts
@@ -136,6 +158,14 @@ impl BaseNameExtractor {
     /// The base name of one WHOIS organization name.
     pub fn extract(&self, name: &str) -> String {
         self.trace(name).base
+    }
+
+    /// The base name from a name's post-corporate-drop form
+    /// ([`corporate_form`]): the frequent-word, geographic and refill steps
+    /// of [`extract`](Self::extract).
+    pub fn base_from_corporate(&self, corporate: &str) -> String {
+        let frequent = drop_frequent_words(corporate, |t| self.is_frequent(t));
+        refill_short(&drop_geo_words(&frequent), corporate)
     }
 
     /// Computes the Table 2 funnel over a corpus: unique-name counts after

@@ -284,10 +284,12 @@ const ESCAPE: [u8; 256] = {
     table
 };
 
-/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
-/// are copied whole. Every byte of a multi-byte UTF-8 sequence is ≥ 0x80
-/// and never escaped, so runs always split on character boundaries.
-fn write_escaped(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal — the escaper behind every string
+/// [`Json`] prints, for writers that emit JSON text directly. Runs of bytes
+/// that need no escape are copied whole. Every byte of a multi-byte UTF-8
+/// sequence is ≥ 0x80 and never escaped, so runs always split on character
+/// boundaries.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.reserve(s.len() + 2);
     out.push('"');
     let mut run = 0;

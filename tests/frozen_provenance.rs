@@ -4,7 +4,9 @@
 //! text. For every record of every world below, the trace rendered out of
 //! the artifact must equal the trace [`attribution_trace_with`] builds from
 //! the live inputs, byte for byte, and the thawed Listing-1 body and JSONL
-//! export must equal the live ones. The worlds cross three seeds with the
+//! export must equal the live ones, and every record's line from the direct
+//! JSONL writer must equal its line rendered through the JSON tree
+//! (`ExportRecord::to_json`). The worlds cross three seeds with the
 //! clean world and each semantic-adversarial fault class, each built once
 //! without exceptions and once with assert and filter rules applied.
 //!
@@ -19,8 +21,8 @@ use p2o_synth::adversary::{self, FaultClass};
 use p2o_synth::{World, WorldConfig};
 use p2o_util::Json;
 use prefix2org::{
-    attribution_trace_with, freeze, to_jsonl, ExceptionSet, FrozenDataset, MergeEdge, Pipeline,
-    PipelineInputs, Prefix2OrgDataset,
+    attribution_trace_with, freeze, to_jsonl, write_jsonl_line, ExceptionSet, ExportRecord,
+    FrozenDataset, MergeEdge, Pipeline, PipelineInputs, Prefix2OrgDataset,
 };
 
 const SEEDS: [u64; 3] = [7, 42, 1001];
@@ -133,6 +135,14 @@ fn check_world(world: &World, label: &str) -> (usize, [usize; 3]) {
                 frozen.listing1_json(idx).to_string(),
                 rec.listing1_json().to_string(),
                 "{cell}: listing 1 of {}",
+                rec.prefix
+            );
+            let mut line = String::new();
+            write_jsonl_line(rec, &mut line);
+            assert_eq!(
+                line,
+                format!("{}\n", ExportRecord::from(rec).to_json()),
+                "{cell}: JSONL line of {}",
                 rec.prefix
             );
         }

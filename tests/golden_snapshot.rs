@@ -119,7 +119,7 @@ fn run() -> (prefix2org::Prefix2OrgDataset, p2o_obs::RunReport) {
     let obs = Obs::new();
     let built = world.build_inputs_with(Some(&obs));
     assert!(built.rpki_problems.is_empty());
-    let dataset = Pipeline::default().run_with_obs(
+    let (dataset, _) = Pipeline::default().run_with_obs(
         &PipelineInputs {
             delegations: &built.tree,
             routes: &built.routes,
